@@ -13,6 +13,22 @@
 
 namespace mvd {
 
+namespace {
+
+/// A staging database whose entries alias every table of `db`. Writers
+/// only replace entries of it (put_table), so the published snapshot that
+/// owns `db` never sees a change, and a table the write does not touch
+/// keeps its identity into the next epoch.
+Database share_tables(const Database& db) {
+  Database staging;
+  for (const std::string& name : db.table_names()) {
+    staging.put_shared(name, db.shared_table(name));
+  }
+  return staging;
+}
+
+}  // namespace
+
 bool default_serve_rewrite() {
   if (const char* env = std::getenv("MVD_SERVE_REWRITE")) {
     const std::string f(env);
@@ -79,7 +95,9 @@ void MvServer::publish(std::shared_ptr<const ServeSnapshot> next) {
 }
 
 ServeResult MvServer::serve(const std::string& sql, ServePath path) {
-  return serve(parse_adhoc(catalog_, sql), path);
+  const auto start = std::chrono::steady_clock::now();
+  const QuerySpec query = parse_adhoc(catalog_, sql);
+  return serve_from(start, snapshot(), query, path);
 }
 
 ServeResult MvServer::serve(const QuerySpec& query, ServePath path) {
@@ -88,6 +106,13 @@ ServeResult MvServer::serve(const QuerySpec& query, ServePath path) {
 
 ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
                                const QuerySpec& query, ServePath path) const {
+  return serve_from(std::chrono::steady_clock::now(), snap, query, path);
+}
+
+ServeResult MvServer::serve_from(
+    std::chrono::steady_clock::time_point start,
+    const std::shared_ptr<const ServeSnapshot>& snap, const QuerySpec& query,
+    ServePath path) const {
   MVD_ASSERT(snap != nullptr && snap->db != nullptr);
   ServeResult out;
   out.epoch = snap->epoch;
@@ -141,11 +166,10 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
   out.engine = exec_mode_name(options_.mode);
 
   const Executor exec(snap->db, options_.mode, options_.threads);
-  const auto t0 = std::chrono::steady_clock::now();
   out.table = exec.run(plan, &out.stats);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.latency_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  out.latency_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
 
   if (out.rewritten) {
     std::lock_guard<std::mutex> lock(log_mutex_);
@@ -190,7 +214,7 @@ std::uint64_t MvServer::ingest(const std::string& relation,
 
   auto next = std::make_shared<ServeSnapshot>();
   next->epoch = cur->epoch + 1;
-  Database staging = *cur->db;
+  Database staging = share_tables(*cur->db);
   const auto before = pending_deltas_.find(relation);
   const std::size_t rows0 =
       before != pending_deltas_.end() ? before->second.row_count() : 0;
@@ -234,7 +258,7 @@ std::uint64_t MvServer::finish_refresh(RefreshMode mode) {
 
   auto next = std::make_shared<ServeSnapshot>();
   next->epoch = cur->epoch + 1;
-  Database staging = *cur->db;
+  Database staging = share_tables(*cur->db);
   DeployedViewRegistry registry = cur->registry;
   const std::vector<std::string> pending = registry.pending();
   const DeltaSet deltas = std::exchange(pending_deltas_, DeltaSet{});
@@ -267,7 +291,7 @@ std::uint64_t MvServer::update_and_refresh(const std::string& relation,
 
   auto next = std::make_shared<ServeSnapshot>();
   next->epoch = cur->epoch + 1;
-  Database staging = *cur->db;
+  Database staging = share_tables(*cur->db);
   DeployedViewRegistry registry = cur->registry;
   DeltaSet deltas = std::exchange(pending_deltas_, DeltaSet{});
   const auto before = deltas.find(relation);
@@ -312,7 +336,12 @@ void MvServer::rebuild_pending(Database& db, DeployedViewRegistry& registry,
 
   if (mode == RefreshMode::kIncremental && !deltas.empty()) {
     // The incremental walk covers every view a delta reaches — exactly
-    // the set ingest marked stale for those relations.
+    // the set ingest marked stale for those relations. It applies SPJ
+    // deltas in place, so each of those views first gets a private copy:
+    // the shared one still belongs to published snapshots.
+    for (const std::string& name : pending) {
+      db.put_table(name, Table(db.table(name)));
+    }
     incremental_refresh(graph, m, db, deltas, nullptr, options_.mode,
                         options_.threads);
   } else {

@@ -14,22 +14,27 @@
 //   * Readers pin the current snapshot (one shared_ptr copy under the
 //     snapshot mutex) and run entirely against it; the pinning Executor
 //     overload keeps the data alive even when the server swaps mid-query.
-//   * Writers (ingest / refresh) are serialized by a writer mutex. They
-//     deep-copy the current database (Database copy = value semantics),
-//     mutate the staging copy, and publish a new snapshot in one swap.
-//     A reader therefore sees pre-state or post-state, never a mix.
+//   * Writers (ingest / refresh) are serialized by a writer mutex. Their
+//     staging database shares every table of the current snapshot
+//     (Database::put_shared); a write replaces the entries it changes
+//     and never mutates a table a published snapshot can reach, so the
+//     tables it leaves alone keep their identity into the next epoch.
+//     The new snapshot is published in one swap, so a reader sees
+//     pre-state or post-state, never a mix.
 //   * ingest() applies an update batch to one base relation, captures its
 //     signed delta for later incremental refresh, and marks every view
 //     over that relation STALE — the matcher skips STALE views, so
 //     queries fall back to the (already updated) base tables of the same
 //     snapshot.
 //   * refresh() = begin_refresh() (publish STALE views as BUILDING) +
-//     finish_refresh() (rebuild them on the staging copy — incrementally
-//     from the captured deltas or by recompute — then publish them
-//     VALID). update_and_refresh() does batch + rebuild with one
+//     finish_refresh() (rebuild them on the staging database —
+//     incrementally from the captured deltas, on private copies of the
+//     views the walk applies deltas to, or by recompute — then publish
+//     them VALID). update_and_refresh() does batch + rebuild with one
 //     publish, for writers that must never expose an intermediate state.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -87,7 +92,9 @@ struct ServeResult {
   std::string engine;
   std::uint64_t epoch = 0;
   ExecStats stats;
-  /// Wall-clock execution time of the answer plan (parse/match excluded).
+  /// Wall-clock time of the whole answer: view matching, compensation
+  /// plan and execution, plus parse/bind when served from SQL. The same
+  /// value feeds the serve/latency_ms histogram and the journal event.
   double latency_ms = 0;
 };
 
@@ -137,9 +144,10 @@ class MvServer {
   /// Publish every non-VALID view as BUILDING (content unchanged).
   std::uint64_t begin_refresh();
 
-  /// Rebuild every non-VALID view on a staging copy (kIncremental
-  /// consumes the captured deltas, kRecompute re-runs refresh plans),
-  /// publish them VALID. Returns the new epoch.
+  /// Rebuild every non-VALID view on a staging database that shares the
+  /// unchanged tables (kIncremental consumes the captured deltas,
+  /// kRecompute re-runs refresh plans), publish them VALID. Returns the
+  /// new epoch.
   std::uint64_t finish_refresh(RefreshMode mode = default_refresh_mode());
 
   /// begin + finish (two publishes; queries between them fall back).
@@ -171,9 +179,16 @@ class MvServer {
 
  private:
   void publish(std::shared_ptr<const ServeSnapshot> next);
+  /// serve_on with latency_ms measured from `start`, so serve(sql) can
+  /// count its parse/bind in the recorded latency.
+  ServeResult serve_from(std::chrono::steady_clock::time_point start,
+                         const std::shared_ptr<const ServeSnapshot>& snap,
+                         const QuerySpec& query, ServePath path) const;
   /// Rebuild every pending view of `registry` inside `db` (incremental
   /// from `deltas` when possible, recompute otherwise) and mark them
-  /// VALID. Caller holds writer_mutex_.
+  /// VALID. Pending views are replaced, never mutated in place: `db`
+  /// shares its tables with published snapshots. Caller holds
+  /// writer_mutex_.
   void rebuild_pending(Database& db, DeployedViewRegistry& registry,
                        RefreshMode mode, const DeltaSet& deltas) const;
 

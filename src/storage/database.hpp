@@ -6,7 +6,9 @@
 // Entries are held through shared_ptr so one physical table can be
 // registered in several databases at once — the sharded execution layer
 // aliases each replicated dimension (and every coordinator-resident view)
-// into its per-bucket databases instead of copying it 64 times. Copying a
+// into its per-bucket databases instead of copying it 64 times, and
+// MvServer's writers stage each epoch on aliases of the current
+// snapshot's tables, replacing only the entries they change. Copying a
 // Database still deep-copies every table (value semantics), so snapshot
 // twins used by the differential refresh tests stay independent.
 #pragma once

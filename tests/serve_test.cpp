@@ -1,12 +1,17 @@
 // mvserve tests: view-subsumption matching and compensation synthesis
 // (src/optimizer/view_rewrite), the deployed-view registry lifecycle
 // (VALID / STALE / BUILDING gating the matcher), MvServer's serve /
-// ingest / refresh protocol, and the snapshot-swap concurrency contract
-// (MvserveTsanTest, also run under TSan in CI).
+// ingest / refresh protocol, writers' table sharing across epochs, and
+// the snapshot-swap concurrency contract (MvserveTsanTest, also run
+// under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,6 +19,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/hash.hpp"
 #include "src/common/random.hpp"
 #include "src/check/implication.hpp"
 #include "src/lint/registry.hpp"
@@ -54,6 +60,29 @@ ViewDef view_from_sql(const Catalog& c, const std::string& name,
                       const std::string& sql) {
   const QuerySpec spec = parse_and_bind(c, name, 1.0, sql);
   return extract_view_def(name, canonical_plan(c, spec), 100.0);
+}
+
+/// Order-independent digest of a table's bag of rows: the wrapping sum of
+/// per-row hashes, mixed with the row count.
+std::uint64_t bag_digest(const Table& t) {
+  std::uint64_t sum = 0;
+  for (const Tuple& row : t.rows()) {
+    std::size_t h = 0;
+    for (const Value& v : row) hash_combine(h, v);
+    sum += h;
+  }
+  std::size_t out = sum;
+  hash_combine(out, t.row_count());
+  return out;
+}
+
+/// bag_digest of every table of `db`, by name.
+std::map<std::string, std::uint64_t> digests_of(const Database& db) {
+  std::map<std::string, std::uint64_t> out;
+  for (const std::string& name : db.table_names()) {
+    out.emplace(name, bag_digest(db.table(name)));
+  }
+  return out;
 }
 
 // ---- Matching & compensation ----------------------------------------------
@@ -459,6 +488,100 @@ TEST_F(ServeTest, PinnedSnapshotSurvivesConcurrentSwap) {
                        server_->serve(q4, ServePath::kBaseOnly).table));
 }
 
+// latency_ms spans the whole answer — parse/bind, matching, compensation
+// and execution — so it is positive and bounded by the caller's own wall
+// time, and the journal records exactly that value.
+TEST_F(ServeTest, LatencyCoversTheWholeServeAndReachesTheJournal) {
+  ServeOptions options;
+  options.observe = true;
+  MvServer server(designer_.catalog(), design_,
+                  populate_paper_database(0.02, 23), options);
+  const std::string sql =
+      "SELECT Customer.city, date FROM Order, Customer "
+      "WHERE quantity > 100 AND date > DATE '1996-07-01' "
+      "AND Order.Cid = Customer.Cid";
+  const auto t0 = std::chrono::steady_clock::now();
+  const ServeResult r = server.serve(sql);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_TRUE(r.rewritten) << r.refusal;
+  EXPECT_GT(r.latency_ms, 0.0);
+  EXPECT_LE(r.latency_ms, wall_ms);
+
+  ASSERT_NE(server.observatory(), nullptr);
+  const std::vector<JournalEvent> events =
+      server.observatory()->journal()->events();
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().kind, EventKind::kServe);
+  EXPECT_EQ(events.back().latency_ms, r.latency_ms);
+}
+
+// Writers stage each epoch on aliases of the current snapshot's tables
+// and replace only what they write: a pinned snapshot never changes, an
+// untouched table is the same object in the old and the new epoch, and
+// every written table (the ingested relation, each refreshed view) is a
+// new one — including the views incremental refresh applies deltas to.
+TEST_F(ServeTest, WritersShareUnchangedTablesAcrossEpochs) {
+  const auto pinned = server_->snapshot();
+  const std::map<std::string, std::uint64_t> pinned_digests =
+      digests_of(*pinned->db);
+
+  std::set<std::string> over_order;
+  for (const DeployedView& v : pinned->registry.views()) {
+    if (v.def.relations.contains("Order")) over_order.insert(v.def.name);
+  }
+  ASSERT_FALSE(over_order.empty());
+  std::set<std::string> order_and_views = over_order;
+  order_and_views.insert("Order");
+
+  struct Step {
+    std::string name;
+    std::function<void()> run;
+    std::set<std::string> written;
+  };
+  Rng rng(11);
+  const std::vector<Step> steps = {
+      {"ingest", [&] { server_->ingest("Order", {}, rng); }, {"Order"}},
+      {"refresh(recompute)",
+       [&] { server_->refresh(RefreshMode::kRecompute); }, over_order},
+      {"ingest again", [&] { server_->ingest("Order", {}, rng); }, {"Order"}},
+      {"refresh(incremental)",
+       [&] { server_->refresh(RefreshMode::kIncremental); }, over_order},
+      {"update_and_refresh",
+       [&] {
+         server_->update_and_refresh("Order", {}, rng,
+                                     RefreshMode::kIncremental);
+       },
+       order_and_views},
+  };
+  for (const Step& step : steps) {
+    const auto before = server_->snapshot();
+    const std::map<std::string, std::uint64_t> before_digests =
+        digests_of(*before->db);
+    step.run();
+    const auto after = server_->snapshot();
+    ASSERT_GT(after->epoch, before->epoch) << step.name;
+
+    EXPECT_EQ(digests_of(*pinned->db), pinned_digests) << step.name;
+    EXPECT_EQ(digests_of(*before->db), before_digests) << step.name;
+    ASSERT_EQ(after->db->table_names(), before->db->table_names());
+    for (const std::string& name : before->db->table_names()) {
+      const bool shared = &before->db->table(name) == &after->db->table(name);
+      EXPECT_EQ(shared, !step.written.contains(name))
+          << step.name << ": " << name;
+    }
+  }
+  // Sharing never costs correctness: every view serves the final state.
+  for (const QuerySpec& q : designer_.queries()) {
+    const ServeResult hit = server_->serve(q);
+    EXPECT_TRUE(hit.rewritten) << q.name() << ": " << hit.refusal;
+    EXPECT_TRUE(same_bag(hit.table,
+                         server_->serve(q, ServePath::kBaseOnly).table))
+        << q.name();
+  }
+}
+
 TEST_F(ServeTest, RewriteLogEvidenceRechecks) {
   for (const QuerySpec& q : designer_.queries()) server_->serve(q);
   const std::vector<RewriteRecord> log = server_->rewrite_log();
@@ -558,6 +681,69 @@ TEST(MvserveTsanTest, ReadersNeverObserveTornSnapshots) {
 
   // After the writer quiesces, every view is VALID again and serves the
   // final state.
+  for (const QuerySpec& q : queries) {
+    const ServeResult r = server.serve(q);
+    EXPECT_TRUE(r.rewritten) << q.name() << ": " << r.refusal;
+    EXPECT_TRUE(
+        same_bag(r.table, server.serve(q, ServePath::kBaseOnly).table))
+        << q.name();
+  }
+}
+
+// Split writer rounds (ingest, then begin_refresh, then an incremental
+// finish_refresh) take the path whose SPJ delta apply mutates a table in
+// place; the views it applies to must be private copies by then. Readers
+// pin snapshots and re-check every pinned table's digest around a serve:
+// a write into a table a published snapshot can reach shows up as a
+// changed digest here, and as a data race under TSan.
+TEST(MvserveTsanTest, SplitWritersNeverTouchPinnedTables) {
+  WarehouseDesigner designer = paper_designer();
+  const DesignResult design = forced_design(designer);
+  MvServer server(designer.catalog(), design,
+                  populate_paper_database(0.005, 53));
+  const std::vector<QuerySpec> queries = designer.queries();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> changed{0};
+  std::atomic<int> checks{0};
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      // The first pinned snapshot is held to the end: every round's
+      // writes happen while it is pinned.
+      const auto first = server.snapshot();
+      const std::map<std::string, std::uint64_t> first_digests =
+          digests_of(*first->db);
+      started.fetch_add(1);
+      std::size_t i = static_cast<std::size_t>(t);
+      while (i < static_cast<std::size_t>(t) + 6 ||
+             !done.load(std::memory_order_acquire)) {
+        const auto snap = server.snapshot();
+        const std::map<std::string, std::uint64_t> pinned =
+            digests_of(*snap->db);
+        server.serve_on(snap, queries[i++ % queries.size()]);
+        if (digests_of(*snap->db) != pinned) changed.fetch_add(1);
+        checks.fetch_add(1);
+      }
+      if (digests_of(*first->db) != first_digests) changed.fetch_add(1);
+    });
+  }
+
+  // Start writing once every reader has pinned its first snapshot.
+  while (started.load() < 4) std::this_thread::yield();
+  Rng rng(91);
+  for (int round = 0; round < 6; ++round) {
+    server.ingest(round % 2 == 0 ? "Order" : "Customer", {}, rng);
+    server.begin_refresh();
+    server.finish_refresh(RefreshMode::kIncremental);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(changed.load(), 0);
+  EXPECT_GT(checks.load(), 0);
+  EXPECT_EQ(server.epoch(), 18u);
   for (const QuerySpec& q : queries) {
     const ServeResult r = server.serve(q);
     EXPECT_TRUE(r.rewritten) << q.name() << ": " << r.refusal;
