@@ -530,8 +530,8 @@ CheckReport check_plan(const PlanPtr& plan, const CheckOptions& options) {
   Analyzer analyzer{options, report, {}};
   analyzer.analyze(plan);
   if (options.fusability) {
-    // The fusability mirror calls Schema::find like the runtime detector;
-    // corrupted plans (ambiguous bare names) make both throw. The
+    // The segments are the fused engine's own detector verdicts. Its
+    // Schema::find throws on ambiguous bare names in corrupted plans; the
     // resolution findings above already cover those, so degrade quietly.
     try {
       report.segments = predict_engine_segments(plan);

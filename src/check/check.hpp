@@ -56,7 +56,7 @@ struct CheckOptions {
   const DeltaSet* deltas = nullptr;
   /// Stored view name for the global-MIN/MAX placeholder check.
   std::string view_name;
-  /// Run the fused-engine segmentation mirror.
+  /// Report the fused engine's segmentation of the plan.
   bool fusability = true;
   /// Certify self-maintainability of the plan as a refresh plan.
   bool maintainability = true;

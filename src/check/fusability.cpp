@@ -1,88 +1,24 @@
 #include "src/check/fusability.hpp"
 
-#include <set>
+#include <optional>
 
-#include "src/storage/column_table.hpp"
+#include "src/exec/fused.hpp"
 
 namespace mvd {
 
 namespace {
 
-bool numeric_kind(ColumnKind k) {
-  return k == ColumnKind::kInt64Col || k == ColumnKind::kDoubleCol;
-}
-
-/// Mirror of fused.cpp compile_conjunct, minus FilterStep production:
-/// accepts exactly the conjuncts the kernel layer compiles, and reports
-/// the first failing rule through `refusal`.
-bool conjunct_fusable(const ExprPtr& e, const Schema& schema,
-                      std::string& refusal) {
-  if (e == nullptr) {
-    refusal = "empty conjunct";
-    return false;
-  }
-  if (e->kind() != ExprKind::kComparison) {
-    refusal = "non-comparison conjunct " + e->to_string() +
-              " (OR/NOT/literal predicates run interpreted)";
-    return false;
-  }
-  const auto& c = static_cast<const ComparisonExpr&>(*e);
-  const Expr* lhs = c.lhs().get();
-  const Expr* rhs = c.rhs().get();
-  if (lhs->kind() == ExprKind::kLiteral && rhs->kind() == ExprKind::kColumn) {
-    std::swap(lhs, rhs);
-  }
-  if (lhs->kind() != ExprKind::kColumn) {
-    refusal = "conjunct " + e->to_string() + " has no column operand";
-    return false;
-  }
-  const std::string& lname = static_cast<const ColumnExpr&>(*lhs).name();
-  const auto li = schema.find(lname);
-  if (!li.has_value()) {
-    refusal = "column '" + lname + "' absent from the chain input";
-    return false;
-  }
-  const ColumnKind lk = column_kind(schema.at(*li).type);
-  if (rhs->kind() == ExprKind::kLiteral) {
-    const Value& v = static_cast<const LiteralExpr&>(*rhs).value();
-    if (numeric_kind(lk) && is_numeric(v.type())) return true;
-    if (lk == ColumnKind::kStringCol && v.type() == ValueType::kString) {
-      return true;
-    }
-    refusal = "mixed-type or boolean comparison " + e->to_string();
-    return false;
-  }
-  if (rhs->kind() != ExprKind::kColumn) {
-    refusal = "conjunct " + e->to_string() + " compares non-column operands";
-    return false;
-  }
-  const std::string& rname = static_cast<const ColumnExpr&>(*rhs).name();
-  const auto ri = schema.find(rname);
-  if (!ri.has_value()) {
-    refusal = "column '" + rname + "' absent from the chain input";
-    return false;
-  }
-  const ColumnKind rk = column_kind(schema.at(*ri).type);
-  if (numeric_kind(lk) && numeric_kind(rk)) return true;
-  if (lk == ColumnKind::kStringCol && rk == ColumnKind::kStringCol) return true;
-  refusal = "mixed-type or boolean comparison " + e->to_string();
-  return false;
-}
-
-/// Mirror of fused.cpp node_fusable: projects always, selects when every
-/// conjunct compiles against the node's input schema.
-bool node_fusable(const LogicalOp& n, std::string& refusal) {
-  if (n.kind() == OpKind::kProject) return true;
-  if (n.kind() != OpKind::kSelect) {
-    refusal = "not a select/project";
-    return false;
-  }
-  const auto& sel = static_cast<const SelectOp&>(n);
-  const Schema& in = n.children()[0]->output_schema();
-  for (const ExprPtr& c : conjuncts_of(sel.predicate())) {
-    if (!conjunct_fusable(c, in, refusal)) return false;
-  }
-  return true;
+FusePrediction to_prediction(const std::optional<FusedChain>& chain,
+                             std::string refusal) {
+  FusePrediction pred;
+  pred.refusal = std::move(refusal);
+  if (!chain.has_value()) return pred;
+  pred.fusable = true;
+  pred.source = chain->source;
+  pred.stage_count = chain->stages.size();
+  pred.select_count = chain->select_count;
+  pred.out_schema = chain->out_schema;
+  return pred;
 }
 
 }  // namespace
@@ -90,112 +26,16 @@ bool node_fusable(const LogicalOp& n, std::string& refusal) {
 FusePrediction predict_fused_chain(
     const PlanPtr& plan,
     const std::map<const LogicalOp*, std::size_t>& use_count) {
-  FusePrediction pred;
-  if (plan->kind() != OpKind::kSelect && plan->kind() != OpKind::kProject) {
-    pred.refusal = "not a select/project";
-    return pred;
-  }
-  if (!node_fusable(*plan, pred.refusal)) return pred;
-
-  // Downward walk: identical chain-extension rules to detect_fused_chain
-  // (fusable select/project children with exactly one parent).
-  std::vector<PlanPtr> nodes;
-  PlanPtr cur = plan;
-  while (true) {
-    nodes.push_back(cur);
-    const PlanPtr& child = cur->children()[0];
-    if (child->kind() != OpKind::kSelect &&
-        child->kind() != OpKind::kProject) {
-      break;
-    }
-    const auto it = use_count.find(child.get());
-    if (it != use_count.end() && it->second > 1) break;  // shared node
-    std::string ignored;
-    if (!node_fusable(*child, ignored)) break;
-    cur = child;
-  }
-
-  // Bottom-up compile replay: track the schema through project re-maps;
-  // every refusal here corresponds to a detect_fused_chain nullopt (or,
-  // for corrupted plans, the BindError it would throw).
-  pred.source = nodes.back()->children()[0];
-  Schema cur_schema = pred.source->output_schema();
-  std::size_t select_count = 0;
-  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-    const LogicalOp& n = **it;
-    if (n.kind() == OpKind::kSelect) {
-      const auto& sel = static_cast<const SelectOp&>(n);
-      const auto conjuncts = conjuncts_of(sel.predicate());
-      for (const ExprPtr& c : conjuncts) {
-        if (!conjunct_fusable(c, cur_schema, pred.refusal)) return pred;
-      }
-      if (conjuncts.empty()) {
-        pred.refusal = "degenerate predicate with no conjuncts";
-        return pred;
-      }
-      ++select_count;
-    } else {
-      const auto& proj = static_cast<const ProjectOp&>(n);
-      for (const std::string& c : proj.columns()) {
-        if (!cur_schema.contains(c)) {
-          pred.refusal =
-              "projection references '" + c + "' absent from the chain";
-          return pred;
-        }
-      }
-      cur_schema = proj.output_schema();
-    }
-  }
-  if (select_count == 0) {
-    pred.refusal = "pure projection chain (already free interpreted)";
-    return pred;
-  }
-  pred.fusable = true;
-  pred.stage_count = nodes.size();
-  pred.select_count = select_count;
-  pred.out_schema = cur_schema;
-  return pred;
+  std::string refusal;
+  const auto chain = detect_fused_chain(plan, use_count, &refusal);
+  return to_prediction(chain, std::move(refusal));
 }
 
 std::vector<ChainSegment> predict_engine_segments(const PlanPtr& plan) {
-  // Mirror of plan_use_counts (fused.cpp): the root carries one use,
-  // every child one per parent edge, each shared subtree counted once.
-  std::map<const LogicalOp*, std::size_t> uses;
-  uses[plan.get()] = 1;
-  {
-    std::set<const LogicalOp*> visited;
-    std::vector<PlanPtr> stack{plan};
-    while (!stack.empty()) {
-      const PlanPtr n = stack.back();
-      stack.pop_back();
-      for (const PlanPtr& c : n->children()) {
-        ++uses[c.get()];
-        if (visited.insert(c.get()).second) stack.push_back(c);
-      }
-    }
-  }
-
   std::vector<ChainSegment> segments;
-  std::set<const LogicalOp*> visited;
-  // Depth-first in child order, like the engine's recursive node() walk.
-  std::vector<PlanPtr> stack{plan};
-  while (!stack.empty()) {
-    const PlanPtr n = stack.back();
-    stack.pop_back();
-    if (!visited.insert(n.get()).second) continue;
-    if (n->kind() == OpKind::kSelect || n->kind() == OpKind::kProject) {
-      ChainSegment seg;
-      seg.head = n.get();
-      seg.prediction = predict_fused_chain(n, uses);
-      const bool fusable = seg.prediction.fusable;
-      const PlanPtr source = seg.prediction.source;
-      segments.push_back(std::move(seg));
-      if (fusable) {
-        stack.push_back(source);  // interior nodes are consumed
-        continue;
-      }
-    }
-    for (const PlanPtr& c : n->children()) stack.push_back(c);
+  for (FusedSegment& seg : fused_segments(plan)) {
+    segments.push_back(
+        {seg.head.get(), to_prediction(seg.chain, std::move(seg.refusal))});
   }
   return segments;
 }

@@ -1,19 +1,12 @@
-// Static fusability prediction — a pure mirror of the fused engine's
-// detect_fused_chain acceptance rules (src/exec/fused.cpp) that never
-// touches data and explains its refusals.
+// Static fusability report: the fused engine's own chain detection
+// (detect_fused_chain / fused_segments in src/exec/fused), run on a plan
+// without touching data and rendered in mvcheck's terms. The engine owns
+// the acceptance rules; this layer only converts its verdicts, including
+// the reason each refused segment runs interpreted.
 //
-// The runtime detector answers yes/no; this predictor reproduces that
-// verdict bit-for-bit (the differential tests assert equality on every
-// node of every fuzzed plan) and, on refusal, names the first rule that
-// failed: OR/NOT/non-comparison conjuncts, boolean or mixed-type
-// comparisons, unresolved columns, shared interior DAG nodes, degenerate
-// predicates, pure-projection chains. Keeping the two in lockstep is a
-// maintenance contract: any relaxation of the kernel layer must land in
-// both places or the agreement tests fail.
-//
-// This header intentionally does not include src/exec (the Executor's
-// pre-execution hook includes us); the few acceptance constants it needs
-// (ColumnKind classification) come from the storage layer.
+// This header does not include src/exec, so the check layer's public
+// headers stay independent of the executor; the conversions live in
+// fusability.cpp.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +18,9 @@
 
 namespace mvd {
 
-/// Verdict for the chain rooted at one node. `fusable` matches
-/// detect_fused_chain(node).has_value(); the remaining fields mirror the
-/// FusedChain it would compile.
+/// Verdict for the chain rooted at one node. `fusable` is
+/// detect_fused_chain(node).has_value(); the remaining fields summarize
+/// the FusedChain it compiles.
 struct FusePrediction {
   bool fusable = false;
   /// Why not — empty when fusable. For nodes that are not select/project
@@ -40,24 +33,22 @@ struct FusePrediction {
   Schema out_schema;             // chain output schema
 };
 
-/// Mirror of plan_use_counts + detect_fused_chain. `use_count` must come
-/// from the *root* plan the engine would run (sharing is a property of
-/// the whole DAG, not the subtree).
+/// detect_fused_chain's verdict and refusal. `use_count` must come from
+/// the *root* plan the engine would run (sharing is a property of the
+/// whole DAG, not the subtree).
 FusePrediction predict_fused_chain(
     const PlanPtr& plan,
     const std::map<const LogicalOp*, std::size_t>& use_count);
 
-/// One fused segment the vectorized engine's fused walk would form.
+/// One fused segment the vectorized engine's fused walk forms.
 struct ChainSegment {
   const LogicalOp* head = nullptr;
   FusePrediction prediction;
 };
 
-/// Replay the fused engine's plan walk (vectorized.cpp node()): from the
-/// root, each select/project either heads a fused chain (walk resumes at
-/// the chain source) or falls back to interpreted execution (walk resumes
-/// at its children). Returns every select/project head the walk visits,
-/// with its prediction — the per-segment fusability report.
+/// The fused engine's segmentation (fused_segments): every select/project
+/// head its plan walk visits, with its verdict — the per-segment
+/// fusability report.
 std::vector<ChainSegment> predict_engine_segments(const PlanPtr& plan);
 
 }  // namespace mvd

@@ -61,18 +61,6 @@ ExecMode default_exec_mode() {
     if (m == "vectorized" || m == "vec") mode = ExecMode::kVectorized;
     if (m == "fused") mode = ExecMode::kFused;
   }
-  // MVD_EXEC_FUSED toggles the kernel layer on top of whatever engine
-  // MVD_EXEC_MODE picked: on upgrades vectorized (or row) to fused, off
-  // forces fused back to the interpreted vectorized path.
-  if (const char* env = std::getenv("MVD_EXEC_FUSED")) {
-    const std::string f(env);
-    if (f == "1" || f == "true" || f == "on") {
-      mode = ExecMode::kFused;
-    } else if ((f == "0" || f == "false" || f == "off") &&
-               mode == ExecMode::kFused) {
-      mode = ExecMode::kVectorized;
-    }
-  }
   return mode;
 }
 

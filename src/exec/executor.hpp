@@ -62,9 +62,6 @@ enum class ExecMode { kRow, kVectorized, kFused };
 
 /// Engine selected by the MVD_EXEC_MODE environment variable ("row",
 /// "vectorized"/"vec", or "fused"); kRow when unset or unrecognized.
-/// MVD_EXEC_FUSED then overrides the kernel layer independently: truthy
-/// ("1"/"true"/"on") upgrades any vectorized selection to kFused, falsy
-/// ("0"/"false"/"off") demotes kFused back to plain kVectorized.
 ExecMode default_exec_mode();
 
 /// Short engine label for metrics and journal events: "row", "vec" or

@@ -19,10 +19,20 @@ bool numeric_kind(ColumnKind k) {
 
 /// Compile one conjunct against `schema`, translating column indices
 /// through `map` (current logical index -> source logical index). False
-/// when the conjunct is not a simple typed comparison the kernels cover.
+/// when the conjunct is not a simple typed comparison the kernels cover;
+/// `refusal` then names the first rule that failed.
 bool compile_conjunct(const ExprPtr& e, const Schema& schema,
-                      const std::vector<std::size_t>& map, FilterStep& out) {
-  if (e == nullptr || e->kind() != ExprKind::kComparison) return false;
+                      const std::vector<std::size_t>& map, FilterStep& out,
+                      std::string& refusal) {
+  if (e == nullptr) {
+    refusal = "empty conjunct";
+    return false;
+  }
+  if (e->kind() != ExprKind::kComparison) {
+    refusal = "non-comparison conjunct " + e->to_string() +
+              " (OR/NOT/literal predicates run interpreted)";
+    return false;
+  }
   const auto& c = static_cast<const ComparisonExpr&>(*e);
   const Expr* lhs = c.lhs().get();
   const Expr* rhs = c.rhs().get();
@@ -31,9 +41,17 @@ bool compile_conjunct(const ExprPtr& e, const Schema& schema,
     std::swap(lhs, rhs);
     op = flip(op);
   }
-  if (lhs->kind() != ExprKind::kColumn) return false;
-  const auto li = schema.find(static_cast<const ColumnExpr&>(*lhs).name());
-  if (!li.has_value()) return false;  // interpreted path raises BindError
+  if (lhs->kind() != ExprKind::kColumn) {
+    refusal = "conjunct " + e->to_string() + " has no column operand";
+    return false;
+  }
+  // An unresolved column runs interpreted, which raises the BindError.
+  const std::string& lname = static_cast<const ColumnExpr&>(*lhs).name();
+  const auto li = schema.find(lname);
+  if (!li.has_value()) {
+    refusal = "column '" + lname + "' absent from the chain input";
+    return false;
+  }
   const ColumnKind lk = column_kind(schema.at(*li).type);
   out.op = op;
   out.lhs_col = map[*li];
@@ -50,11 +68,19 @@ bool compile_conjunct(const ExprPtr& e, const Schema& schema,
       out.str_lit = v.as_string();
       return true;
     }
-    return false;  // mixed-type / bool comparison: interpreted fallback
+    refusal = "mixed-type or boolean comparison " + e->to_string();
+    return false;
   }
-  if (rhs->kind() != ExprKind::kColumn) return false;
-  const auto ri = schema.find(static_cast<const ColumnExpr&>(*rhs).name());
-  if (!ri.has_value()) return false;
+  if (rhs->kind() != ExprKind::kColumn) {
+    refusal = "conjunct " + e->to_string() + " compares non-column operands";
+    return false;
+  }
+  const std::string& rname = static_cast<const ColumnExpr&>(*rhs).name();
+  const auto ri = schema.find(rname);
+  if (!ri.has_value()) {
+    refusal = "column '" + rname + "' absent from the chain input";
+    return false;
+  }
   const ColumnKind rk = column_kind(schema.at(*ri).type);
   out.rhs_col = map[*ri];
   out.rhs_kind = rk;
@@ -66,21 +92,25 @@ bool compile_conjunct(const ExprPtr& e, const Schema& schema,
     out.shape = FilterStep::Shape::kStrColCol;
     return true;
   }
+  refusal = "mixed-type or boolean comparison " + e->to_string();
   return false;
 }
 
 /// Can `n` join a chain? Projects always; selects only when every
 /// conjunct compiles to a typed kernel against the node's input schema.
-bool node_fusable(const LogicalOp& n) {
+bool node_fusable(const LogicalOp& n, std::string& refusal) {
   if (n.kind() == OpKind::kProject) return true;
-  if (n.kind() != OpKind::kSelect) return false;
+  if (n.kind() != OpKind::kSelect) {
+    refusal = "not a select/project";
+    return false;
+  }
   const auto& sel = static_cast<const SelectOp&>(n);
   const Schema& in = n.children()[0]->output_schema();
   std::vector<std::size_t> identity(in.size());
   std::iota(identity.begin(), identity.end(), std::size_t{0});
   FilterStep scratch;
   for (const ExprPtr& c : conjuncts_of(sel.predicate())) {
-    if (!compile_conjunct(c, in, identity, scratch)) return false;
+    if (!compile_conjunct(c, in, identity, scratch, refusal)) return false;
   }
   return true;
 }
@@ -335,11 +365,12 @@ std::map<const LogicalOp*, std::size_t> plan_use_counts(const PlanPtr& plan) {
 
 std::optional<FusedChain> detect_fused_chain(
     const PlanPtr& plan,
-    const std::map<const LogicalOp*, std::size_t>& use_count) {
-  if (plan->kind() != OpKind::kSelect && plan->kind() != OpKind::kProject) {
-    return std::nullopt;
-  }
-  if (!node_fusable(*plan)) return std::nullopt;
+    const std::map<const LogicalOp*, std::size_t>& use_count,
+    std::string* why) {
+  std::string unused;
+  std::string& refusal = why != nullptr ? *why : unused;
+  refusal.clear();
+  if (!node_fusable(*plan, refusal)) return std::nullopt;
 
   // Downward walk collecting the maximal chain (top-down). An interior
   // node joins only when it is fusable AND has exactly one parent —
@@ -356,7 +387,8 @@ std::optional<FusedChain> detect_fused_chain(
     }
     const auto it = use_count.find(child.get());
     if (it != use_count.end() && it->second > 1) break;
-    if (!node_fusable(*child)) break;
+    std::string ignored;
+    if (!node_fusable(*child, ignored)) break;
     cur = child;
   }
 
@@ -376,29 +408,69 @@ std::optional<FusedChain> detect_fused_chain(
       const auto& sel = static_cast<const SelectOp&>(n);
       for (const ExprPtr& c : conjuncts_of(sel.predicate())) {
         FilterStep step;
-        if (!compile_conjunct(c, cur_schema, map, step)) return std::nullopt;
+        if (!compile_conjunct(c, cur_schema, map, step, refusal)) {
+          return std::nullopt;
+        }
         stage.steps.push_back(std::move(step));
       }
-      // A degenerate predicate with no conjuncts has nothing to fuse.
-      if (stage.steps.empty()) return std::nullopt;
+      if (stage.steps.empty()) {
+        refusal = "degenerate predicate with no conjuncts";
+        return std::nullopt;
+      }
       ++chain.select_count;
     } else {
+      // A corrupted projection runs interpreted, which raises the
+      // BindError.
       const auto& proj = static_cast<const ProjectOp&>(n);
       std::vector<std::size_t> next;
       next.reserve(proj.columns().size());
       for (const std::string& c : proj.columns()) {
-        next.push_back(map[cur_schema.index_of(c)]);
+        const auto idx = cur_schema.find(c);
+        if (!idx.has_value()) {
+          refusal = "projection references '" + c + "' absent from the chain";
+          return std::nullopt;
+        }
+        next.push_back(map[*idx]);
       }
       map = std::move(next);
       cur_schema = n.output_schema();
     }
     chain.stages.push_back(std::move(stage));
   }
-  // A pure projection chain is already free in the interpreted engine.
-  if (chain.select_count == 0) return std::nullopt;
+  if (chain.select_count == 0) {
+    refusal = "pure projection chain (already free interpreted)";
+    return std::nullopt;
+  }
   chain.out_cols = std::move(map);
   chain.out_schema = std::move(cur_schema);
   return chain;
+}
+
+std::vector<FusedSegment> fused_segments(const PlanPtr& plan) {
+  const auto uses = plan_use_counts(plan);
+  std::vector<FusedSegment> segments;
+  std::set<const LogicalOp*> visited;
+  // Depth-first with an explicit stack: the last child is visited first.
+  std::vector<PlanPtr> stack{plan};
+  while (!stack.empty()) {
+    const PlanPtr n = stack.back();
+    stack.pop_back();
+    if (!visited.insert(n.get()).second) continue;
+    if (n->kind() == OpKind::kSelect || n->kind() == OpKind::kProject) {
+      FusedSegment seg;
+      seg.head = n;
+      seg.chain = detect_fused_chain(n, uses, &seg.refusal);
+      const PlanPtr source =
+          seg.chain.has_value() ? seg.chain->source : nullptr;
+      segments.push_back(std::move(seg));
+      if (source != nullptr) {
+        stack.push_back(source);  // interior nodes are consumed
+        continue;
+      }
+    }
+    for (const PlanPtr& c : n->children()) stack.push_back(c);
+  }
+  return segments;
 }
 
 VecRel run_fused_chain(const FusedChain& chain, const VecRel& src,

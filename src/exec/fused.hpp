@@ -26,7 +26,7 @@
 //     charges its input's blocks/rows/morsels; projects stay free).
 //   * Unfusable operators — OR/NOT predicates, mixed-type or non-simple
 //     comparisons, shared interior DAG nodes — terminate the chain and
-//     run interpreted; detect_fused_chain simply refuses them.
+//     run interpreted; detect_fused_chain refuses them and says why.
 //
 // Join probe and aggregation get packed-key kernels (PackedKey +
 // JoinKeyMap/GroupKeyMap) used by vectorized.cpp's fast paths when keys
@@ -88,12 +88,32 @@ struct FusedChain {
 std::map<const LogicalOp*, std::size_t> plan_use_counts(const PlanPtr& plan);
 
 /// Compile the maximal fusable select/project chain rooted at `plan`.
-/// Returns nullopt when `plan` itself is not a fusable select/project or
-/// the chain contains no select (pure projections are already free in the
-/// interpreted engine).
+/// This detector is the one definition of fusability: the engine runs
+/// what it accepts and mvcheck reports its verdicts. Returns nullopt when
+/// `plan` itself is not a fusable select/project or the chain contains no
+/// select (pure projections are already free in the interpreted engine);
+/// `refusal`, when given, then receives the first rule that failed —
+/// OR/NOT/non-comparison conjuncts, boolean or mixed-type comparisons,
+/// columns or projections absent from the chain, degenerate predicates,
+/// pure-projection chains — and is cleared on success.
 std::optional<FusedChain> detect_fused_chain(
     const PlanPtr& plan,
-    const std::map<const LogicalOp*, std::size_t>& use_count);
+    const std::map<const LogicalOp*, std::size_t>& use_count,
+    std::string* refusal = nullptr);
+
+/// One select/project head the fused engine's plan walk visits.
+struct FusedSegment {
+  PlanPtr head;
+  std::optional<FusedChain> chain;  // nullopt: the head runs interpreted
+  std::string refusal;              // why not; empty when `chain` is set
+};
+
+/// The fused engine's segmentation of `plan`, computed once per run: from
+/// the root, each select/project either heads a chain (the walk resumes at
+/// the chain source, its interior nodes are consumed) or runs interpreted
+/// (the walk resumes at its children). Depth-first, last child first,
+/// each shared node once.
+std::vector<FusedSegment> fused_segments(const PlanPtr& plan);
 
 /// Execute `chain` over the evaluated source. Morsel-parallel over the
 /// source's fixed morsels; survivors concatenate in morsel order. Updates

@@ -42,7 +42,11 @@ class VectorizedEngine {
 
   Table run(const PlanPtr& plan) {
     MVD_ASSERT(plan != nullptr);
-    if (fused_) uses_ = plan_use_counts(plan);
+    if (fused_) {
+      for (FusedSegment& seg : fused_segments(plan)) {
+        chains_.emplace(seg.head.get(), std::move(seg.chain));
+      }
+    }
     Table out = sink(node(plan));
     if (counters_enabled() && stats_ != nullptr) {
       publish_op_tallies(fused_ ? "fused" : "vec", op_blocks_, op_rows_);
@@ -56,10 +60,12 @@ class VectorizedEngine {
       return it->second;
     }
     if (fused_) {
-      if (auto chain = detect_fused_chain(plan, uses_)) {
-        const VecRel& src = node(chain->source);
+      const auto seg = chains_.find(plan.get());
+      if (seg != chains_.end() && seg->second.has_value()) {
+        const FusedChain& chain = *seg->second;
+        const VecRel& src = node(chain.source);
         VecRel result =
-            run_fused_chain(*chain, src, threads_, stats_, op_blocks_,
+            run_fused_chain(chain, src, threads_, stats_, op_blocks_,
                             op_rows_);
         return memo_.emplace(plan.get(), std::move(result)).first->second;
       }
@@ -573,7 +579,8 @@ class VectorizedEngine {
   std::size_t threads_;
   ColumnTableCache* cache_;
   bool fused_ = false;
-  std::map<const LogicalOp*, std::size_t> uses_;  // fused_ only
+  /// Segment heads of the fused walk -> their chain (nullopt: refused).
+  std::map<const LogicalOp*, std::optional<FusedChain>> chains_;
   std::map<const LogicalOp*, VecRel> memo_;
   /// Per-operator work tallies (indexed by OpKind), flushed once at the
   /// end of run() under the same names as the row engine.

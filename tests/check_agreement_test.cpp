@@ -1,10 +1,12 @@
-// Differential agreement between mvcheck's static predictions and the
-// runtime they mirror, on plan shapes built to sit exactly on the
-// acceptance boundaries: OR/NOT predicates, bool comparisons, shared
-// interior DAG nodes, degenerate literal predicates, pure-projection
-// chains, selects over aggregates. The engine-equivalence fuzzer covers
-// the common shapes; this file covers the refusal edges, plus a fuzzer
-// of its own so every boundary is crossed many times per run.
+// Agreement between mvcheck's fusability report and the fused engine's
+// runtime, on plan shapes built to sit exactly on the acceptance
+// boundaries: OR/NOT predicates, bool comparisons, shared interior DAG
+// nodes, degenerate literal predicates, pure-projection chains, selects
+// over aggregates. The report is the engine's own detector, so the
+// verdict checks are same-code checks; the refusal texts are pinned here
+// because they are what mvcheck users read. The engine-equivalence fuzzer
+// covers the common shapes; this file covers the refusal edges, plus a
+// fuzzer of its own so every boundary is crossed many times per run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <set>
 
 #include "src/check/check.hpp"
+#include "src/common/error.hpp"
 #include "src/exec/executor.hpp"
 #include "src/exec/fused.hpp"
 #include "src/exec/sharded.hpp"
@@ -21,8 +24,9 @@
 namespace mvd {
 namespace {
 
-/// Node-by-node verdict equality between predict_fused_chain and
-/// detect_fused_chain, plus shape equality for accepted chains.
+/// Node-by-node verdict equality between mvcheck's predict_fused_chain
+/// and the engine's detect_fused_chain, plus shape equality for accepted
+/// chains.
 void expect_verdicts_agree(const PlanPtr& plan) {
   const auto uses = plan_use_counts(plan);
   std::set<const LogicalOp*> seen;
@@ -95,7 +99,7 @@ TEST_F(CheckAgreementTest, RefusalEdges) {
       make_select(scan_t(), neg(gt(col("T.a"), lit_i64(10)))),
       // Bool column comparison: interpreted fallback.
       make_select(scan_t(), eq(col("T.flag"), lit(Value::boolean(true)))),
-      // Mixed int/double column-column comparison.
+      // Mixed int/double column-column comparison: both numeric, fusable.
       make_select(scan_t(), lt(col("T.b"), col("T.a"))),
       // String comparisons, both operand shapes.
       make_select(scan_t(), conj({eq(col("T.s"), lit_str("x")),
@@ -119,6 +123,103 @@ TEST_F(CheckAgreementTest, RefusalEdges) {
   for (const PlanPtr& plan : plans) {
     SCOPED_TRACE(plan_tree_string(plan));
     expect_verdicts_agree(plan);
+  }
+}
+
+TEST_F(CheckAgreementTest, RefusalReasonsArePinned) {
+  // One row per boundary shape: the segment check_plan reports for
+  // `head`, with the exact refusal text mvcheck prints (empty = fused)
+  // and the stage count of the accepted chain.
+  const ExprPtr or_pred = disj({gt(col("T.a"), lit_i64(10)),
+                                lt(col("T.b"), lit_real(0.0))});
+  const ExprPtr not_pred = neg(gt(col("T.a"), lit_i64(10)));
+  const ExprPtr bool_pred = eq(col("T.flag"), lit(Value::boolean(true)));
+  const ExprPtr mixed_pred = eq(col("T.s"), col("T.a"));
+  const std::string interpreted =
+      " (OR/NOT/literal predicates run interpreted)";
+
+  // A select shared by two parents: the project→select chain above it
+  // stops there (two stages, not three) and it heads its own chain.
+  const PlanPtr shared = make_select(scan_t(), gt(col("T.a"), lit_i64(5)));
+  const PlanPtr above_shared = make_project(
+      make_select(shared, lt(col("T.b"), lit_real(1.0))), {"T.a", "T.b"});
+  const PlanPtr shared_root = make_join(
+      above_shared,
+      make_aggregate(shared, {"T.s"}, {AggSpec{AggFn::kCount, "", "n"}}),
+      lit(Value::boolean(true)));
+
+  const PlanPtr pure_projection =
+      make_project(make_project(scan_t(), {"T.a", "T.b", "T.s"}),
+                   {"T.a", "T.b"});
+  const PlanPtr over_aggregate = make_select(
+      make_aggregate(scan_t(), {"T.a"}, {AggSpec{AggFn::kCount, "", "n"}}),
+      gt(col("n"), lit_i64(3)));
+  const PlanPtr literal_left =
+      make_select(scan_t(), lt(lit_i64(10), col("T.a")));
+
+  struct Row {
+    const char* shape;
+    PlanPtr root;
+    PlanPtr head;
+    std::string refusal;
+    std::size_t stages;
+  };
+  const PlanPtr or_plan = make_select(scan_t(), or_pred);
+  const PlanPtr not_plan = make_select(scan_t(), not_pred);
+  const PlanPtr bool_plan = make_select(scan_t(), bool_pred);
+  const PlanPtr mixed_plan = make_select(scan_t(), mixed_pred);
+  const std::vector<Row> rows = {
+      {"OR", or_plan, or_plan,
+       "non-comparison conjunct " + or_pred->to_string() + interpreted, 0},
+      {"NOT", not_plan, not_plan,
+       "non-comparison conjunct " + not_pred->to_string() + interpreted, 0},
+      {"bool comparison", bool_plan, bool_plan,
+       "mixed-type or boolean comparison " + bool_pred->to_string(), 0},
+      {"mixed-type comparison", mixed_plan, mixed_plan,
+       "mixed-type or boolean comparison " + mixed_pred->to_string(), 0},
+      {"shared interior node", shared_root, above_shared, "", 2},
+      {"shared node heads its own chain", shared_root, shared, "", 1},
+      {"pure projection chain", pure_projection, pure_projection,
+       "pure projection chain (already free interpreted)", 0},
+      {"select over aggregate", over_aggregate, over_aggregate, "", 1},
+      {"literal on the left", literal_left, literal_left, "", 1},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.shape);
+    const CheckReport report = check_plan(row.root);
+    const auto seg = std::find_if(
+        report.segments.begin(), report.segments.end(),
+        [&](const ChainSegment& s) { return s.head == row.head.get(); });
+    ASSERT_NE(seg, report.segments.end());
+    EXPECT_EQ(seg->prediction.refusal, row.refusal);
+    EXPECT_EQ(seg->prediction.fusable, row.refusal.empty());
+    EXPECT_EQ(seg->prediction.stage_count, row.stages);
+  }
+}
+
+TEST_F(CheckAgreementTest, CorruptedProjectionIsRefusedNotThrown) {
+  // A projection naming a column its input dropped (mvcheck's
+  // projection-of-dropped-column mutation) under a select. Detection
+  // refuses the chain instead of throwing; execution still raises the
+  // BindError on every engine.
+  const PlanPtr keep_a = make_project(scan_t(), {"T.a"});
+  const PlanPtr corrupted = std::make_shared<ProjectOp>(
+      keep_a, Schema({Attribute{"b", ValueType::kDouble, "T"}}),
+      std::vector<std::string>{"T.b"});
+  const PlanPtr plan = make_select(corrupted, gt(col("T.b"), lit_real(0.0)));
+
+  CheckReport report;
+  ASSERT_NO_THROW(report = check_plan(plan));
+  ASSERT_FALSE(report.segments.empty());
+  EXPECT_EQ(report.segments.front().head, plan.get());
+  EXPECT_FALSE(report.segments.front().prediction.fusable);
+  EXPECT_EQ(report.segments.front().prediction.refusal,
+            "projection references 'T.b' absent from the chain");
+
+  for (const ExecMode mode :
+       {ExecMode::kRow, ExecMode::kVectorized, ExecMode::kFused}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    EXPECT_THROW(Executor(db_, mode).run(plan), BindError);
   }
 }
 

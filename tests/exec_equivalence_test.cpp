@@ -23,9 +23,9 @@
 namespace mvd {
 namespace {
 
-/// mvcheck's static fusability verdicts must agree with the runtime
-/// detector on *every* node of the plan DAG, and when a chain compiles
-/// the prediction must mirror its shape exactly.
+/// mvcheck's fusability verdicts (converted from the engine's detector)
+/// must agree with the runtime detector on *every* node of the plan DAG,
+/// and when a chain compiles the report must carry its shape exactly.
 void expect_fusability_agreement(const PlanPtr& plan) {
   const auto uses = plan_use_counts(plan);
   std::set<const LogicalOp*> seen;

@@ -221,21 +221,6 @@ TEST_F(ExecutorTest, ExecModeEnvSwitch) {
   ASSERT_EQ(unsetenv("MVD_EXEC_MODE"), 0);
   EXPECT_EQ(default_exec_mode(), ExecMode::kRow);
 
-  // MVD_EXEC_FUSED overrides the kernel layer on top of MVD_EXEC_MODE:
-  // truthy upgrades any mode to fused, falsy demotes fused to plain
-  // vectorized, anything else leaves the mode alone.
-  ASSERT_EQ(setenv("MVD_EXEC_FUSED", "1", 1), 0);
-  EXPECT_EQ(default_exec_mode(), ExecMode::kFused);
-  ASSERT_EQ(setenv("MVD_EXEC_MODE", "vec", 1), 0);
-  EXPECT_EQ(default_exec_mode(), ExecMode::kFused);
-  ASSERT_EQ(setenv("MVD_EXEC_FUSED", "off", 1), 0);
-  ASSERT_EQ(setenv("MVD_EXEC_MODE", "fused", 1), 0);
-  EXPECT_EQ(default_exec_mode(), ExecMode::kVectorized);
-  ASSERT_EQ(setenv("MVD_EXEC_FUSED", "unrecognized", 1), 0);
-  EXPECT_EQ(default_exec_mode(), ExecMode::kFused);
-  ASSERT_EQ(unsetenv("MVD_EXEC_FUSED"), 0);
-  ASSERT_EQ(unsetenv("MVD_EXEC_MODE"), 0);
-
   ASSERT_EQ(setenv("MVD_EXEC_THREADS", "4", 1), 0);
   EXPECT_EQ(default_exec_threads(), 4u);
   ASSERT_EQ(setenv("MVD_EXEC_THREADS", "not-a-number", 1), 0);
